@@ -93,8 +93,9 @@ echo ok
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (sim core, fault injection, workload, root) =="
-go test -race ./internal/sim ./internal/fault ./internal/workload .
+echo "== go test -race (sim core, radio, fault injection, workload, telemetry, checkpoint, root) =="
+go test -race ./internal/sim ./internal/radio ./internal/fault ./internal/workload \
+	./internal/telemetry ./internal/checkpoint .
 
 echo "== bench smoke (micro benches only) =="
 go test -run xxx -bench 'Table1|GridNear|SimEventQueue|AODVDiscovery|ServentSend|BcastRelay' -benchtime 10x .

@@ -102,117 +102,41 @@ type Medium struct {
 	scratch  []int // Neighbors/Degree query buffer
 	bscratch []int // broadcast fan-out buffer; see the note in Send
 
-	// Batched delivery engine: instead of one simulator event (and one
-	// capturing closure) per in-flight frame, pending deliveries are
-	// value-typed records in the medium's own min-heap, drained by a
-	// single pooled event. Each record consumes a global sequence number
-	// via ReserveSeq at the moment the old code would have scheduled it,
-	// so the interleaving with independently scheduled events — and
-	// therefore determinism — is bit-identical to the one-event-per-frame
-	// design. The one observable difference: Sim.Pending/Fired counts,
-	// and a Stop() landing mid-batch no longer splits same-instant
-	// deliveries (both are diagnostics, not simulation state).
-	pending    deliveryHeap
-	frames     []Frame // slab of in-flight frames, indexed by delivery.idx
-	freeIdx    []int32 // recycled slab slots
-	drainFn    func()
-	drainH     sim.Handle
-	drainAt    sim.Time
-	drainSeq   uint64
-	drainArmed bool
-	draining   bool
+	// In-flight deliveries: each is one ordinary kernel event whose
+	// sim.Arg carries a slot index into this slab. The frame stays off
+	// the event so the kernel heap sifts pointers, not 200+-byte
+	// value-typed packets. Slot indices are stable across slab growth,
+	// so a held index survives reentrant Sends from a receive callback;
+	// pointers into the slab do not.
+	slots    []slot
+	freeIdx  []int // recycled slab slots
+	arriveFn func(sim.Arg)
 }
 
-// delivery is one in-flight frame: it arrives at node to at instant at,
-// ordered among all simulator events by the reserved seq. The record is
-// deliberately a 24-byte key — the frame itself sits in the medium's
-// slab under idx — so the heap's sift swaps move keys, not 200+-byte
-// value-typed packets (sifting whole frames dominated the CPU profile).
-type delivery struct {
-	at  sim.Time
-	seq uint64
-	to  int32
-	idx int32
+// slot is one in-flight delivery: frame f bound for node to. A free
+// slot has to < 0, which lets InFlightTo count live slots directly.
+type slot struct {
+	to int
+	f  Frame
 }
 
-// deliveryHeap is a value-typed binary min-heap over (at, seq).
-type deliveryHeap struct {
-	items []delivery
-}
-
-func (q *deliveryHeap) len() int { return len(q.items) }
-
-func (q *deliveryHeap) less(i, j int) bool {
-	a, b := &q.items[i], &q.items[j]
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
-func (q *deliveryHeap) push(d delivery) {
-	q.items = append(q.items, d)
-	i := len(q.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q.items[i], q.items[parent] = q.items[parent], q.items[i]
-		i = parent
-	}
-}
-
-func (q *deliveryHeap) peek() (delivery, bool) {
-	if len(q.items) == 0 {
-		return delivery{}, false
-	}
-	return q.items[0], true
-}
-
-func (q *deliveryHeap) pop() delivery {
-	n := len(q.items)
-	top := q.items[0]
-	q.items[0] = q.items[n-1]
-	q.items = q.items[:n-1]
-	n--
-	i := 0
-	for {
-		left := 2*i + 1
-		if left >= n {
-			break
-		}
-		smallest := left
-		if right := left + 1; right < n && q.less(right, left) {
-			smallest = right
-		}
-		if !q.less(smallest, i) {
-			break
-		}
-		q.items[i], q.items[smallest] = q.items[smallest], q.items[i]
-		i = smallest
-	}
-	return top
-}
-
-// putFrame parks an in-flight frame in the slab and returns its slot.
-// Slot indices are stable across slab growth, so a held index survives
-// reentrant Sends from a receive callback; pointers into the slab do not.
-func (m *Medium) putFrame(f Frame) int32 {
+// putFrame parks an in-flight frame bound for node to in the slab and
+// returns its slot index.
+func (m *Medium) putFrame(f Frame, to int) int {
 	if n := len(m.freeIdx); n > 0 {
 		idx := m.freeIdx[n-1]
 		m.freeIdx = m.freeIdx[:n-1]
-		m.frames[idx] = f
+		m.slots[idx] = slot{to: to, f: f}
 		return idx
 	}
-	m.frames = append(m.frames, f)
-	return int32(len(m.frames) - 1)
+	m.slots = append(m.slots, slot{to: to, f: f})
+	return len(m.slots) - 1
 }
 
 // releaseFrame recycles a slab slot, dropping the payload's slice
 // references so the frame does not pin memory while the slot sits free.
-func (m *Medium) releaseFrame(idx int32) {
-	m.frames[idx] = Frame{}
+func (m *Medium) releaseFrame(idx int) {
+	m.slots[idx] = slot{to: -1}
 	m.freeIdx = append(m.freeIdx, idx)
 }
 
@@ -236,7 +160,7 @@ func NewMedium(s *sim.Sim, cfg Config) (*Medium, error) {
 	for i := range m.battery {
 		m.battery[i] = NewBattery(cfg.Energy)
 	}
-	m.drainFn = m.drainDeliveries
+	m.arriveFn = m.arrive
 	return m, nil
 }
 
@@ -316,7 +240,7 @@ func (m *Medium) OnDeath(fn func(id int)) { m.onDeath = fn }
 func (m *Medium) SetLinkFilter(f LinkFilter) { m.filter = f }
 
 // InFlight reports how many deliveries are currently queued in the air.
-func (m *Medium) InFlight() int { return m.pending.len() }
+func (m *Medium) InFlight() int { return len(m.slots) - len(m.freeIdx) }
 
 // InFlightTo fills dst with the per-destination counts of in-flight
 // deliveries and returns it, growing dst to NumNodes if needed (pass nil
@@ -329,8 +253,10 @@ func (m *Medium) InFlightTo(dst []uint64) []uint64 {
 	for i := range dst {
 		dst[i] = 0
 	}
-	for i := range m.pending.items {
-		dst[m.pending.items[i].to]++
+	for i := range m.slots {
+		if to := m.slots[i].to; to >= 0 {
+			dst[to]++
+		}
 	}
 	return dst
 }
@@ -380,9 +306,8 @@ func (m *Medium) Send(f Frame) int {
 }
 
 // deliver queues the frame for arrival at node to after latency+jitter,
-// applying the loss probability. The pending record reserves its global
-// sequence number here — exactly where the per-frame event used to be
-// scheduled — so batching cannot reorder it against anything else.
+// applying the loss probability. Each delivery is one kernel event, so
+// same-instant arrivals interleave with other events in scheduling order.
 func (m *Medium) deliver(f Frame, to int) {
 	if m.filter != nil && m.filter(f.Src, to) {
 		m.stats[to].Gated++
@@ -397,83 +322,30 @@ func (m *Medium) deliver(f Frame, to int) {
 		delay += sim.Time(m.jrng.Int63n(int64(m.cfg.Jitter) + 1))
 	}
 	m.stats[to].Queued++
-	m.pending.push(delivery{at: m.sim.Now() + delay, seq: m.sim.ReserveSeq(), to: int32(to), idx: m.putFrame(f)})
-	m.syncDrain()
+	m.sim.ScheduleArg(delay, m.arriveFn, sim.Arg{I0: m.putFrame(f, to)})
 }
 
-// syncDrain keeps exactly one simulator event armed at the earliest
-// pending record's (at, seq) key. Re-arming on a changed head lazily
-// cancels the previous drain event; the sim purges it at peek.
-func (m *Medium) syncDrain() {
-	if m.draining {
-		return // drainDeliveries re-syncs once the batch is done
-	}
-	head, ok := m.pending.peek()
-	if !ok {
-		if m.drainArmed {
-			m.drainH.Cancel()
-			m.drainArmed = false
-		}
-		return
-	}
-	if m.drainArmed {
-		if head.at == m.drainAt && head.seq == m.drainSeq {
-			return
-		}
-		m.drainH.Cancel()
-	}
-	m.drainH = m.sim.AtReserved(head.at, head.seq, m.drainFn)
-	m.drainAt, m.drainSeq, m.drainArmed = head.at, head.seq, true
-}
-
-// drainDeliveries fires at the head record's reserved key and completes
-// every pending delivery that would have run back-to-back anyway: same
-// instant, and ordered before the simulator's next independent event.
-// Anything later re-arms a fresh drain, preserving the exact global
-// event interleaving of the one-event-per-frame design.
-func (m *Medium) drainDeliveries() {
-	m.drainArmed = false
-	m.draining = true
-	now := m.sim.Now()
-	for {
-		rec, ok := m.pending.peek()
-		if !ok || rec.at != now {
-			break
-		}
-		// The first record is always safe: the drain event just fired at
-		// its exact key. Later records must still precede the simulator's
-		// next event to run inline without reordering.
-		if qt, qs, qok := m.sim.NextEvent(); qok && qt == now && qs < rec.seq {
-			break
-		}
-		m.pending.pop()
-		m.arrive(rec)
-	}
-	m.draining = false
-	m.syncDrain()
-}
-
-// arrive completes one delivery, with the same receiver checks the
-// per-frame closure used to make at fire time. The frame is read out of
-// the slab by index at each use — never through a held pointer — because
-// the receive callback may Send, growing the slab.
-func (m *Medium) arrive(rec delivery) {
-	to := int(rec.to)
+// arrive completes the delivery parked in slot a.I0. The frame is read
+// out of the slab by index at each use — never through a held pointer —
+// because the receive callback may Send, growing the slab.
+func (m *Medium) arrive(a sim.Arg) {
+	idx := a.I0
+	to := m.slots[idx].to
 	// The receiver may have left or died while the frame was in
 	// flight; radio waves do not chase nodes.
 	if !m.up[to] {
 		m.stats[to].LostDown++
-		m.releaseFrame(rec.idx)
+		m.releaseFrame(idx)
 		return
 	}
-	size := m.frames[rec.idx].Size
+	size := m.slots[idx].f.Size
 	m.stats[to].RxFrames++
 	m.stats[to].RxBytes += uint64(size)
 	m.spendRx(to, size)
 	if m.up[to] { // spendRx may have killed it
-		m.recv[to](m.frames[rec.idx])
+		m.recv[to](m.slots[idx].f)
 	}
-	m.releaseFrame(rec.idx)
+	m.releaseFrame(idx)
 }
 
 func (m *Medium) spendTx(id, size int) {

@@ -361,8 +361,8 @@ func TestRejoinAfterLeave(t *testing.T) {
 // it by value, so there is no caller-side boxing to exclude anymore.
 var prebox = pkt(99)
 
-// Alloc guard (ISSUE 2): once the delivery heap and event pool are warm,
-// a unicast Send — queue, drain event, arrival — performs zero heap
+// Alloc guard: once the frame slab and event pool are warm, a unicast
+// Send — slab slot, arrival event, arrival — performs zero heap
 // allocations.
 func TestUnicastSendZeroAllocs(t *testing.T) {
 	s := sim.New(1)
@@ -370,7 +370,7 @@ func TestUnicastSendZeroAllocs(t *testing.T) {
 	delivered := 0
 	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
 	m.Join(1, geom.Point{X: 15, Y: 10}, func(Frame) { delivered++ })
-	// Warm up: a few deliveries populate the pool and the heap arrays.
+	// Warm up: a few deliveries populate the pool and the slab.
 	for i := 0; i < 16; i++ {
 		m.Send(Frame{Src: 0, Dst: 1, Size: 8, Payload: prebox})
 	}
@@ -388,33 +388,50 @@ func TestUnicastSendZeroAllocs(t *testing.T) {
 	}
 }
 
-// Batched delivery must preserve the exact interleaving between frame
-// arrivals and independently scheduled events at the same instant.
+// Frame arrivals must interleave with independently scheduled events at
+// the same instant in scheduling order: an event scheduled between two
+// transmissions runs after every arrival of the first and before any
+// arrival of the second.
 func TestDeliveryInterleavesWithScheduledEvents(t *testing.T) {
-	s := sim.New(1)
-	m := newTestMedium(t, s, testConfig(3))
-	var order []string
-	m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
-	m.Join(1, geom.Point{X: 15, Y: 10}, func(f Frame) { order = append(order, "rx:"+string(rune(f.Payload.Msg.Seq))) })
-	m.Send(Frame{Src: 0, Dst: 1, Size: 8, Payload: pkt('a')})
-	// An event scheduled after frame a but before frame b, landing at the
-	// same 2ms instant, must run between the two arrivals.
-	s.Schedule(2*sim.Millisecond, func() { order = append(order, "ev") })
-	m.Send(Frame{Src: 0, Dst: 1, Size: 8, Payload: pkt('b')})
-	s.Run(sim.MaxTime)
-	want := []string{"rx:a", "ev", "rx:b"}
-	if len(order) != len(want) {
-		t.Fatalf("order = %v, want %v", order, want)
+	cases := []struct {
+		name string
+		dst  int
+		want []string
+	}{
+		{"unicast", 1, []string{"rx1:a", "ev", "rx1:b"}},
+		{"broadcast", BroadcastAddr, []string{"rx1:a", "rx2:a", "ev", "rx1:b", "rx2:b"}},
 	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order = %v, want %v", order, want)
-		}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := sim.New(1)
+			m := newTestMedium(t, s, testConfig(3)) // Jitter = 0
+			var order []string
+			rx := func(id string) Receiver {
+				return func(f Frame) { order = append(order, id+":"+string(rune(f.Payload.Msg.Seq))) }
+			}
+			m.Join(0, geom.Point{X: 10, Y: 10}, func(Frame) {})
+			m.Join(1, geom.Point{X: 15, Y: 10}, rx("rx1"))
+			m.Join(2, geom.Point{X: 10, Y: 15}, rx("rx2"))
+			m.Send(Frame{Src: 0, Dst: tc.dst, Size: 8, Payload: pkt('a')})
+			// Scheduled after frame a but before frame b, landing at the
+			// same 2ms instant.
+			s.Schedule(2*sim.Millisecond, func() { order = append(order, "ev") })
+			m.Send(Frame{Src: 0, Dst: tc.dst, Size: 8, Payload: pkt('b')})
+			s.Run(sim.MaxTime)
+			if len(order) != len(tc.want) {
+				t.Fatalf("order = %v, want %v", order, tc.want)
+			}
+			for i := range tc.want {
+				if order[i] != tc.want[i] {
+					t.Fatalf("order = %v, want %v", order, tc.want)
+				}
+			}
+		})
 	}
 }
 
-// A frame sent from inside a receive callback must not be delivered in
-// the same drain batch out of order with its own latency.
+// A frame sent from inside a receive callback must arrive after its own
+// latency, not at the instant of the arrival that triggered it.
 func TestReceiveTriggeredSendDelayed(t *testing.T) {
 	s := sim.New(1)
 	m := newTestMedium(t, s, testConfig(2))

@@ -56,18 +56,26 @@ func (s *Sim) Fired() uint64 { return s.fired }
 // runs disagreeing about event history.
 func (s *Sim) Seq() uint64 { return s.seq }
 
-// alloc takes an event slot from the free list (or the heap, while the
-// pool is still warming up) and stamps it with a queue key.
-func (s *Sim) alloc(t Time, seq uint64) *Event {
-	e := s.free
-	if e == nil {
-		e = &Event{}
-	} else {
-		s.free = e.nextFree
-		e.nextFree = nil
+// eventBlock is how many event slots the pool grows by at once while it
+// warms up: one allocation per block instead of one per slot.
+const eventBlock = 64
+
+// alloc takes an event slot from the free list, growing the list by a
+// block when it is empty, and stamps the slot with the next queue key.
+func (s *Sim) alloc(t Time) *Event {
+	if s.free == nil {
+		block := make([]Event, eventBlock)
+		for i := range block[:len(block)-1] {
+			block[i].nextFree = &block[i+1]
+		}
+		s.free = &block[0]
 	}
+	e := s.free
+	s.free = e.nextFree
+	e.nextFree = nil
+	s.seq++
 	e.at = t
-	e.seq = seq
+	e.seq = s.seq
 	return e
 }
 
@@ -99,8 +107,7 @@ func (s *Sim) At(t Time, fn func()) Handle {
 	if fn == nil {
 		panic("sim: At with nil callback")
 	}
-	s.seq++
-	return s.enqueue(t, s.seq, fn, nil, Arg{})
+	return s.enqueue(t, fn, nil, Arg{})
 }
 
 // ScheduleArg queues fn(arg) to run after delay. It is the
@@ -119,36 +126,14 @@ func (s *Sim) AtArg(t Time, fn func(Arg), arg Arg) Handle {
 	if fn == nil {
 		panic("sim: AtArg with nil callback")
 	}
-	s.seq++
-	return s.enqueue(t, s.seq, nil, fn, arg)
+	return s.enqueue(t, nil, fn, arg)
 }
 
-// ReserveSeq consumes and returns the next sequence number without
-// scheduling anything. Components that batch many logical events behind
-// one real queue entry (the radio medium) reserve a seq per logical
-// event at the moment the old code would have scheduled it, keeping the
-// global ordering — and therefore determinism — identical, then arm one
-// drain event at the earliest reserved key via AtReserved.
-func (s *Sim) ReserveSeq() uint64 {
-	s.seq++
-	return s.seq
-}
-
-// AtReserved queues fn at instant t under a previously reserved sequence
-// number, consuming no new seq. The (t, seq) pair must order consistently
-// with reservation time: t must not precede Now.
-func (s *Sim) AtReserved(t Time, seq uint64, fn func()) Handle {
-	if fn == nil {
-		panic("sim: AtReserved with nil callback")
-	}
-	return s.enqueue(t, seq, fn, nil, Arg{})
-}
-
-func (s *Sim) enqueue(t Time, seq uint64, fn func(), argFn func(Arg), arg Arg) Handle {
+func (s *Sim) enqueue(t Time, fn func(), argFn func(Arg), arg Arg) Handle {
 	if t < s.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", t, s.now))
 	}
-	e := s.alloc(t, seq)
+	e := s.alloc(t)
 	e.fn = fn
 	e.argFn = argFn
 	e.arg = arg
@@ -177,9 +162,9 @@ func (s *Sim) peekLive() *Event {
 
 // NextEvent reports the (instant, sequence) key of the earliest pending
 // event, or ok=false when the queue is empty. Lazily-cancelled entries
-// encountered at the head are discarded. The radio medium uses this to
-// decide how many batched deliveries it may run back-to-back without
-// reordering against independently scheduled events.
+// encountered at the head are discarded. The invariant checker uses it
+// to confirm that nothing due at or before Now is left queued when a run
+// reaches its horizon.
 func (s *Sim) NextEvent() (at Time, seq uint64, ok bool) {
 	next := s.peekLive()
 	if next == nil {

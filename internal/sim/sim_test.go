@@ -507,20 +507,6 @@ func TestRunPurgesCancelledHeadPastHorizon(t *testing.T) {
 	}
 }
 
-func TestReservedSeqPreservesOrdering(t *testing.T) {
-	s := New(1)
-	var order []int
-	seqA := s.ReserveSeq() // logical event A claims its place in line
-	s.Schedule(Second, func() { order = append(order, 2) })
-	// A is armed after B but with the earlier reserved seq, so it still
-	// fires first — the property batched radio delivery depends on.
-	s.AtReserved(Second, seqA, func() { order = append(order, 1) })
-	s.Run(MaxTime)
-	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
-		t.Fatalf("order = %v, want [1 2]", order)
-	}
-}
-
 func TestScheduleArgDeliversPayload(t *testing.T) {
 	s := New(1)
 	var got []int
