@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"manetp2p/internal/checkpoint"
+	"manetp2p/internal/manet"
+	"manetp2p/internal/sim"
 	"manetp2p/internal/stats"
 	"manetp2p/internal/telemetry"
 )
@@ -42,17 +45,17 @@ func (r *InvariantReport) OK() bool { return r == nil || r.Violations == 0 }
 func invariantReport(sc Scenario, reps []*repResult) *InvariantReport {
 	rep := &InvariantReport{}
 	for i, rr := range reps {
-		if !rr.checked {
+		if !rr.Checked {
 			continue
 		}
 		rep.Replications++
-		rep.Violations += rr.violTotal
-		if rr.violTotal > 0 {
+		rep.Violations += rr.ViolTotal
+		if rr.ViolTotal > 0 {
 			rep.PerReplication = append(rep.PerReplication, ReplicationViolations{
 				Replication: i,
 				Seed:        sc.Seed + int64(i),
-				Total:       rr.violTotal,
-				Violations:  rr.violations,
+				Total:       rr.ViolTotal,
+				Violations:  rr.Violations,
 			})
 		}
 	}
@@ -70,6 +73,12 @@ type SelfAuditReport struct {
 	// ScheduleIndependent: a serial (Workers=1) run matched the pooled
 	// run — replication results do not depend on worker scheduling.
 	ScheduleIndependent bool
+	// SegmentIndependent: replication 0 run to its horizon in
+	// auditSegments equal Sim.Run segments reached the same state
+	// fingerprint and fired-event count as the same replication run
+	// straight through — stopping and restarting the clock, as
+	// Simulation.Step callers do, is behavior-neutral.
+	SegmentIndependent bool
 	// PooledN: every pooled summary's sample count obeyed the telemetry
 	// plane's conservation law (one sample per replication, or per node
 	// per replication, depending on the section).
@@ -83,15 +92,17 @@ type SelfAuditReport struct {
 
 // OK reports whether the audit passed outright.
 func (r *SelfAuditReport) OK() bool {
-	return r.Deterministic && r.ScheduleIndependent && r.PooledN && r.Invariants.OK()
+	return r.Deterministic && r.ScheduleIndependent && r.SegmentIndependent &&
+		r.PooledN && r.Invariants.OK()
 }
 
 // SelfAudit runs the scenario's invariant suite and determinism audit:
 // the scenario executes three times — instrumented base run, identical
 // rerun, serial (Workers=1) run — and the Results are compared as
-// canonical JSON with the Workers knob normalized out. The invariant
-// checker is forced on for all three. Expect three full scenario runs'
-// worth of wall-clock; size the scenario accordingly.
+// canonical JSON with the Workers knob normalized out; replication 0
+// then runs twice more, straight and segmented. The invariant checker
+// is forced on throughout. Expect three full scenario runs plus two
+// replications' worth of wall-clock; size the scenario accordingly.
 func SelfAudit(sc Scenario) (*SelfAuditReport, error) {
 	inv := InvariantConfig{Enabled: true}
 	if sc.Invariants != nil {
@@ -128,10 +139,15 @@ func SelfAudit(sc Scenario) (*SelfAuditReport, error) {
 		return nil, err
 	}
 
+	segments, err := auditSegments(sc, nil)
+	if err != nil {
+		return nil, err
+	}
 	pooledN := auditPooledN(base)
 	rep := &SelfAuditReport{
 		Deterministic:       bytes.Equal(fpBase, fpAgain),
 		ScheduleIndependent: bytes.Equal(fpBase, fpOne),
+		SegmentIndependent:  segments == "",
 		PooledN:             pooledN == "",
 		Invariants:          base.Invariants,
 	}
@@ -140,10 +156,47 @@ func SelfAudit(sc Scenario) (*SelfAuditReport, error) {
 		rep.Detail = diffDetail("rerun", fpBase, fpAgain)
 	case !rep.ScheduleIndependent:
 		rep.Detail = diffDetail("serial run", fpBase, fpOne)
+	case !rep.SegmentIndependent:
+		rep.Detail = segments
 	case !rep.PooledN:
 		rep.Detail = pooledN
 	}
 	return rep, nil
+}
+
+// auditSegmentCount is the number of equal Sim.Run segments the
+// segment-independence check splits replication 0 into.
+const auditSegmentCount = 8
+
+// auditSegments builds replication 0 twice — snapshot ticker and all —
+// runs one copy straight to the horizon and the other in
+// auditSegmentCount equal segments, and compares their state
+// fingerprints and fired-event counts. between, when non-nil, is called
+// on the segmented copy after each segment but the last. Returns "" on
+// a match or a description of the mismatch.
+func auditSegments(sc Scenario, between func(*manet.Network)) (string, error) {
+	straight, err := startReplication(sc, 0)
+	if err != nil {
+		return "", err
+	}
+	straight.net.Sim.Run(sc.Duration)
+	segmented, err := startReplication(sc, 0)
+	if err != nil {
+		return "", err
+	}
+	for i := 1; i <= auditSegmentCount; i++ {
+		segmented.net.Sim.Run(sc.Duration * sim.Time(i) / auditSegmentCount)
+		if between != nil && i < auditSegmentCount {
+			between(segmented.net)
+		}
+	}
+	a, b := straight.net, segmented.net
+	fa, fb := checkpoint.Fingerprint(a), checkpoint.Fingerprint(b)
+	if fa != fb || a.Sim.Fired() != b.Sim.Fired() {
+		return fmt.Sprintf("segmented run diverges: straight digest %016x (%d events fired), %d segments %016x (%d)",
+			fa, a.Sim.Fired(), auditSegmentCount, fb, b.Sim.Fired()), nil
+	}
+	return "", nil
 }
 
 // auditPooledN checks the telemetry plane's pooled-sample conservation

@@ -3,8 +3,10 @@ package manetp2p
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
+	"manetp2p/internal/manet"
 	"manetp2p/internal/sim"
 )
 
@@ -116,6 +118,9 @@ func TestSelfAuditPasses(t *testing.T) {
 	if !rep.ScheduleIndependent {
 		t.Errorf("schedule-independence audit failed: %s", rep.Detail)
 	}
+	if !rep.SegmentIndependent {
+		t.Errorf("segment-independence audit failed: %s", rep.Detail)
+	}
 	if !rep.PooledN {
 		t.Errorf("pooled-N conservation audit failed: %s", rep.Detail)
 	}
@@ -124,6 +129,32 @@ func TestSelfAuditPasses(t *testing.T) {
 	}
 	if !rep.OK() {
 		t.Error("self-audit did not pass overall")
+	}
+}
+
+// The segment check must catch a segmented run whose state is
+// perturbed between segments: here one extra (empty) event runs after
+// the third segment, which the fired-event count and the scheduler
+// position in the fingerprint both record.
+func TestAuditSegmentsDetectsPerturbation(t *testing.T) {
+	sc := quickScenario(Regular, 20)
+	if detail, err := auditSegments(sc, nil); err != nil || detail != "" {
+		t.Fatalf("unperturbed segmented run: detail %q, err %v", detail, err)
+	}
+	seg := 0
+	extraEvent := func(net *manet.Network) {
+		seg++
+		if seg == 3 {
+			net.Sim.Schedule(0, func() {})
+			net.Sim.Step()
+		}
+	}
+	detail, err := auditSegments(sc, extraEvent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(detail, "diverges") {
+		t.Errorf("perturbed segmented run: detail %q, want a divergence", detail)
 	}
 }
 

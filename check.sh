@@ -18,10 +18,11 @@
 #
 # `./check.sh checkpoint` runs the full golden-fixture checkpoint
 # round-trip: every committed fixture (including testdata/golden/
-# workload.json) is checkpointed at its midpoint, resumed in a fresh
-# process, and the resumed report must match the fixture byte for byte.
-# Set MANETP2P_CKPT_ARTIFACT to a directory to keep the mid-run workload
-# checkpoint (CI uploads it as an artifact).
+# workload.json) is run checkpointed — a 2-replication fixture halts
+# after replication 0, a 1-replication fixture runs to completion — and
+# resumed in a fresh process, and the resumed report must match the
+# fixture byte for byte. Set MANETP2P_CKPT_ARTIFACT to a directory to
+# keep the halted workload checkpoint (CI uploads it as an artifact).
 set -e
 cd "$(dirname "$0")"
 
@@ -93,9 +94,9 @@ echo ok
 echo "== go test =="
 go test ./...
 
-echo "== go test -race (sim core, radio, fault injection, workload, telemetry, checkpoint, root) =="
+echo "== go test -race (sim core, radio, fault injection, workload, telemetry, checkpoint, root, p2psim and sweep CLIs) =="
 go test -race ./internal/sim ./internal/radio ./internal/fault ./internal/workload \
-	./internal/telemetry ./internal/checkpoint .
+	./internal/telemetry ./internal/checkpoint . ./cmd/p2psim ./cmd/sweep
 
 echo "== bench smoke (micro benches only) =="
 go test -run xxx -bench 'Table1|GridNear|SimEventQueue|AODVDiscovery|ServentSend|BcastRelay' -benchtime 10x .

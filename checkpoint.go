@@ -11,173 +11,75 @@ import (
 	"sync"
 
 	"manetp2p/internal/checkpoint"
-	"manetp2p/internal/netif"
-	"manetp2p/internal/sim"
-	"manetp2p/internal/telemetry"
-	"manetp2p/internal/workload"
 )
 
 // This file wires internal/checkpoint into the runner: a scenario run
-// can persist its progress to one checkpoint file and a later process
-// can resume it, producing a report byte-identical to the uninterrupted
-// run (DESIGN.md §11).
+// persists each replication to one checkpoint file as it finishes, and
+// a later process can resume the run, producing a report byte-identical
+// to the uninterrupted run (DESIGN.md §11).
 //
-// Restore is replay-based: completed replications are serialized in
-// full (their measurement payloads travel in the file), while an
-// in-flight replication is recorded as a cursor — its boundary time
-// plus a state digest — and is deterministically re-executed from its
-// seed up to that boundary on resume. The digest must match before the
-// resumed process is allowed to continue past the cursor; any
-// determinism drift (the class of bug the peer-cache eviction fix in
-// this PR removed) fails the resume loudly instead of silently forking
-// the results.
+// The replication is the unit of checkpointing, as it is the unit of
+// the paper's averages. A file holds the scenario, the full measurement
+// record of every finished replication and the telemetry manifest.
+// Resume loads the finished records and runs every other replication
+// from its seed; nothing of an unfinished replication is kept, because
+// rebuilding it from its seed is all a resume could do with it anyway.
 
 // ErrHalted is returned by RunCheckpointed and ResumeCheckpoint when
-// the run stopped at CheckpointConfig.HaltAt with work remaining; the
-// checkpoint file holds everything needed to resume.
-var ErrHalted = errors.New("manetp2p: run halted at checkpoint boundary (resume to continue)")
+// the run stopped after CheckpointConfig.HaltAfter replications with
+// work remaining; the checkpoint file holds everything needed to resume.
+var ErrHalted = errors.New("manetp2p: run halted after persisting its replications (resume to continue)")
 
 // CheckpointConfig parameterizes a checkpointed run.
 type CheckpointConfig struct {
-	// Path is the checkpoint file, written atomically at every boundary.
+	// Path is the checkpoint file, written atomically each time a
+	// replication finishes and once more when the run is done.
 	Path string
-	// Every is the boundary spacing; 0 falls back to
-	// Scenario.CheckpointEvery, then Duration/8. Boundaries land on
-	// multiples of Every from t=0, so an interrupted and a restarted run
-	// agree about where checkpoints live.
-	Every Duration
-	// HaltAt > 0 stops every replication at that simulated time (after
-	// persisting a cursor) and makes the run return ErrHalted — the
+	// HaltAfter > 0 runs and persists only replications with index
+	// below it, then returns ErrHalted if any replication remains — the
 	// programmatic form of being preempted, used by -halt and the
-	// round-trip tests.
-	HaltAt Duration
+	// round-trip tests. Which replications a halted file holds does not
+	// depend on worker scheduling.
+	HaltAfter int
 	// Sink, when non-nil, receives the streamed telemetry time series
 	// once the run completes, exactly as RunWithMetrics would emit it.
 	// Not closed; nothing is streamed on a halt.
 	Sink MetricsSink
 }
 
-// replicationRecord mirrors repResult with exported fields so a
-// completed replication's measurements can travel through gob into the
-// checkpoint file and back without loss.
-type replicationRecord struct {
-	Requests   []telemetry.Request
-	Series     [telemetry.NumClasses][]float64
-	Totals     [telemetry.NumClasses][]float64
-	RxFrames   []float64
-	TxFrames   []float64
-	Clust      []float64
-	PathLen    []float64
-	Largest    []float64
-	MeanDeg    []float64
-	Alive      []float64
-	DegSeries  []float64
-	ConnRate   []float64
-	QueryRate  []float64
-	Deaths     float64
-	Energy     []float64
-	Lifetimes  []float64
-	Health     []telemetry.HealthSample
-	Routing    []netif.Stats
-	Members    int
-	Checked    bool
-	ViolTotal  int
-	Violations []InvariantViolation
-	Workload   *workload.Telemetry
-	Churnit    float64
-}
-
-func recordOf(rr repResult) replicationRecord {
-	return replicationRecord{
-		Requests: rr.requests, Series: rr.series, Totals: rr.totals,
-		RxFrames: rr.rxFrames, TxFrames: rr.txFrames,
-		Clust: rr.clust, PathLen: rr.pathLen, Largest: rr.largest, MeanDeg: rr.meanDeg,
-		Alive: rr.alive, DegSeries: rr.degSeries,
-		ConnRate: rr.connRate, QueryRate: rr.queryRate,
-		Deaths: rr.deaths, Energy: rr.energy, Lifetimes: rr.lifetimes,
-		Health: rr.health, Routing: rr.routing, Members: rr.members,
-		Checked: rr.checked, ViolTotal: rr.violTotal, Violations: rr.violations,
-		Workload: rr.workload, Churnit: rr.churnit,
-	}
-}
-
-func (rec replicationRecord) repResult() repResult {
-	return repResult{
-		requests: rec.Requests, series: rec.Series, totals: rec.Totals,
-		rxFrames: rec.RxFrames, txFrames: rec.TxFrames,
-		clust: rec.Clust, pathLen: rec.PathLen, largest: rec.Largest, meanDeg: rec.MeanDeg,
-		alive: rec.Alive, degSeries: rec.DegSeries,
-		connRate: rec.ConnRate, queryRate: rec.QueryRate,
-		deaths: rec.Deaths, energy: rec.Energy, lifetimes: rec.Lifetimes,
-		health: rec.Health, routing: rec.Routing, members: rec.Members,
-		checked: rec.Checked, violTotal: rec.ViolTotal, violations: rec.Violations,
-		workload: rec.Workload, churnit: rec.Churnit,
-	}
-}
-
-func encodeRecord(rec replicationRecord) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, fmt.Errorf("manetp2p: encoding replication record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeRecord(data []byte) (replicationRecord, error) {
-	var rec replicationRecord
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rec); err != nil {
-		return rec, fmt.Errorf("manetp2p: decoding replication record: %w", err)
-	}
-	return rec, nil
-}
-
-// ckptCursor pins one in-flight replication: resume re-executes it from
-// its seed to At and must reproduce Fired and Digest exactly.
-type ckptCursor struct {
-	Rep    int    `json:"rep"`
-	At     int64  `json:"at"` // sim.Time ticks
-	Fired  uint64 `json:"fired"`
-	Digest string `json:"digest"` // %016x state fingerprint
-}
-
 // ckptHeader is the checkpoint file's JSON header — self-describing
 // enough for tooling (and cmd/sweep's done/mismatch probes) without
-// decoding any section.
+// decoding any section. Unknown keys are ignored, so headers of older
+// binaries (which also listed in-flight replication cursors) still read.
 type ckptHeader struct {
 	Kind      string          `json:"kind"`
 	Scenario  json.RawMessage `json:"scenario"`
 	Total     int             `json:"replications"`
 	Completed []int           `json:"completed"`
-	Cursors   []ckptCursor    `json:"cursors,omitempty"`
 	Done      bool            `json:"done"`
 }
 
 const ckptKind = "manetp2p-run"
 
-// ckptState is the mutable, mutex-guarded progress shared by the
-// replication workers of one checkpointed run; persist snapshots it to
-// disk atomically.
+// ckptState is the mutex-guarded progress shared by the replication
+// workers of one checkpointed run; persist snapshots it to disk
+// atomically.
 type ckptState struct {
 	mu       sync.Mutex
 	path     string
 	scenario json.RawMessage
 	total    int
-	records  map[int][]byte // gob-encoded completed replications
-	cursors  map[int]ckptCursor
+	records  map[int][]byte // gob-encoded finished replications
 	done     bool
 }
 
 func newCkptState(path string, scenario []byte, total int) *ckptState {
-	return &ckptState{
-		path: path, scenario: scenario, total: total,
-		records: map[int][]byte{}, cursors: map[int]ckptCursor{},
-	}
+	return &ckptState{path: path, scenario: scenario, total: total, records: map[int][]byte{}}
 }
 
-// persist writes the current progress to the checkpoint file.
+// persist writes the current progress to the checkpoint file. The
+// caller holds st.mu.
 func (st *ckptState) persist() error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
 	hdr := ckptHeader{
 		Kind: ckptKind, Scenario: st.scenario, Total: st.total, Done: st.done,
 		Completed: make([]int, 0, len(st.records)),
@@ -191,10 +93,6 @@ func (st *ckptState) persist() error {
 		f.Sections[sectionName(rep)] = data
 	}
 	sort.Ints(hdr.Completed)
-	for _, c := range st.cursors {
-		hdr.Cursors = append(hdr.Cursors, c)
-	}
-	sort.Slice(hdr.Cursors, func(i, j int) bool { return hdr.Cursors[i].Rep < hdr.Cursors[j].Rep })
 	hb, err := json.Marshal(hdr)
 	if err != nil {
 		return fmt.Errorf("manetp2p: encoding checkpoint header: %w", err)
@@ -203,18 +101,28 @@ func (st *ckptState) persist() error {
 	return checkpoint.Write(st.path, f)
 }
 
-func (st *ckptState) setCursor(c ckptCursor) error {
+// complete records a finished replication and persists; it is the
+// completion hook runReps calls on the worker.
+func (st *ckptState) complete(rep int, rr repResult) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(rr); err != nil {
+		return fmt.Errorf("manetp2p: encoding replication record: %w", err)
+	}
 	st.mu.Lock()
-	st.cursors[c.Rep] = c
-	st.mu.Unlock()
+	defer st.mu.Unlock()
+	st.records[rep] = buf.Bytes()
 	return st.persist()
 }
 
-func (st *ckptState) complete(rep int, data []byte) error {
+// finish marks the run done and persists, unless the file already says
+// so (resuming a finished run rewrites nothing).
+func (st *ckptState) finish() error {
 	st.mu.Lock()
-	st.records[rep] = data
-	delete(st.cursors, rep)
-	st.mu.Unlock()
+	defer st.mu.Unlock()
+	if st.done {
+		return nil
+	}
+	st.done = true
 	return st.persist()
 }
 
@@ -224,44 +132,12 @@ func sectionName(rep int) string { return "rep/" + strconv.Itoa(rep) }
 // registry's manifest (section names in registration order).
 const telemetrySectionName = "telemetry/manifest"
 
-// checkpointEvery resolves the boundary spacing: explicit config, then
-// the scenario default, then an eighth of the horizon.
-func checkpointEvery(sc Scenario, cfg CheckpointConfig) Duration {
-	switch {
-	case cfg.Every > 0:
-		return cfg.Every
-	case sc.CheckpointEvery > 0:
-		return sc.CheckpointEvery
-	default:
-		return sc.Duration / 8
-	}
-}
-
-// nextStop returns the first stop after now: the next multiple of
-// every, HaltAt, or the horizon, whichever comes first.
-func nextStop(now, every, haltAt, horizon sim.Time) sim.Time {
-	next := horizon
-	if every > 0 {
-		if b := (now/every + 1) * every; b < next {
-			next = b
-		}
-	}
-	if haltAt > now && haltAt < next {
-		next = haltAt
-	}
-	return next
-}
-
-// RunCheckpointed executes the scenario like Run while persisting
-// progress to cfg.Path at every boundary. With a zero cfg.HaltAt it
-// returns exactly what Run returns (checkpoint boundaries only segment
-// Sim.Run, which is behavior-neutral); with HaltAt set it stops there
-// and returns (nil, ErrHalted) once every replication has either
-// finished or written its cursor.
+// RunCheckpointed executes the scenario like Run while persisting every
+// finished replication to cfg.Path. With a zero cfg.HaltAfter it
+// returns exactly what Run returns; with HaltAfter below the
+// replication count it returns (nil, ErrHalted) once replications
+// 0..HaltAfter-1 are persisted.
 func (p *Pool) RunCheckpointed(sc Scenario, cfg CheckpointConfig) (*Result, error) {
-	if err := sc.Validate(); err != nil {
-		return nil, err
-	}
 	if cfg.Path == "" {
 		return nil, errors.New("manetp2p: CheckpointConfig.Path is empty")
 	}
@@ -269,17 +145,14 @@ func (p *Pool) RunCheckpointed(sc Scenario, cfg CheckpointConfig) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
-	st := newCkptState(cfg.Path, scJSON, sc.Replications)
-	return p.driveCheckpointed(sc, cfg, st, nil, nil)
+	return p.runCheckpointed(sc, cfg, newCkptState(cfg.Path, scJSON, sc.Replications), nil)
 }
 
 // ResumeCheckpoint picks a checkpointed run back up from path: the
-// scenario comes from the file, completed replications are loaded
-// without re-execution, and each in-flight replication is replayed from
-// its seed to its cursor — where the state digest must match the
-// recorded one — before running on to the horizon. cfg.Path is ignored
-// (progress keeps going to the same file); cfg.Every and cfg.HaltAt
-// work as in RunCheckpointed.
+// scenario comes from the file, finished replications are loaded
+// without re-execution and every other one runs from its seed. cfg.Path
+// is ignored (progress keeps going to the same file); cfg.HaltAfter
+// works as in RunCheckpointed.
 func (p *Pool) ResumeCheckpoint(path string, cfg CheckpointConfig) (*Result, error) {
 	f, err := checkpoint.Read(path)
 	if err != nil {
@@ -297,137 +170,44 @@ func (p *Pool) ResumeCheckpoint(path string, cfg CheckpointConfig) (*Result, err
 		return nil, fmt.Errorf("manetp2p: checkpoint %s: %w — the telemetry plane changed between the writing and resuming binaries", path, err)
 	}
 	st := newCkptState(path, hdr.Scenario, hdr.Total)
+	st.done = hdr.Done
 	preloaded := make(map[int]repResult, len(hdr.Completed))
 	for _, rep := range hdr.Completed {
 		data, ok := f.Sections[sectionName(rep)]
 		if !ok {
 			return nil, fmt.Errorf("manetp2p: checkpoint %s: header lists replication %d complete but section %q is missing", path, rep, sectionName(rep))
 		}
-		rec, err := decodeRecord(data)
-		if err != nil {
-			return nil, fmt.Errorf("manetp2p: checkpoint %s: replication %d: %w", path, rep, err)
+		var rr repResult
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&rr); err != nil {
+			return nil, fmt.Errorf("manetp2p: checkpoint %s: replication %d: decoding record: %w", path, rep, err)
 		}
-		preloaded[rep] = rec.repResult()
+		preloaded[rep] = rr
 		st.records[rep] = data
 	}
-	cursors := make(map[int]ckptCursor, len(hdr.Cursors))
-	for _, c := range hdr.Cursors {
-		if c.Rep < 0 || c.Rep >= hdr.Total {
-			return nil, fmt.Errorf("manetp2p: checkpoint %s: cursor for out-of-range replication %d", path, c.Rep)
-		}
-		cursors[c.Rep] = c
-		st.cursors[c.Rep] = c
-	}
-	return p.driveCheckpointed(sc, cfg, st, preloaded, cursors)
+	return p.runCheckpointed(sc, cfg, st, preloaded)
 }
 
-// driveCheckpointed is the shared engine under RunCheckpointed and
-// ResumeCheckpoint: it runs every replication not already in preloaded
-// under the pool's worker budget, persisting boundaries through st.
-func (p *Pool) driveCheckpointed(sc Scenario, cfg CheckpointConfig, st *ckptState, preloaded map[int]repResult, cursors map[int]ckptCursor) (*Result, error) {
-	every := checkpointEvery(sc, cfg)
-	var local chan struct{}
-	if sc.Workers > 0 {
-		local = make(chan struct{}, sc.Workers)
+// runCheckpointed is the shared tail of RunCheckpointed and
+// ResumeCheckpoint: it runs every replication below the halt point that
+// is not preloaded, persisting each as it finishes.
+func (p *Pool) runCheckpointed(sc Scenario, cfg CheckpointConfig, st *ckptState, preloaded map[int]repResult) (*Result, error) {
+	n := sc.Replications
+	if cfg.HaltAfter > 0 && cfg.HaltAfter < n {
+		n = cfg.HaltAfter
 	}
-	reps := make([]repResult, sc.Replications)
-	halted := make([]bool, sc.Replications)
-	var wg sync.WaitGroup
-	for r := 0; r < sc.Replications; r++ {
-		if rr, ok := preloaded[r]; ok {
-			reps[r] = rr
-			continue
-		}
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			if local != nil {
-				local <- struct{}{}
-				defer func() { <-local }()
-			}
-			p.slots <- struct{}{}
-			defer func() { <-p.slots }()
-			cur, resume := cursors[r]
-			reps[r], halted[r] = runRepCheckpointed(sc, r, st, every, cfg.HaltAt, cur, resume)
-		}(r)
+	reps, err := p.runReps(sc, n, preloaded, st.complete)
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
-
-	for _, rr := range reps {
-		if rr.err != nil {
-			return nil, rr.err
-		}
+	if n < sc.Replications {
+		return nil, fmt.Errorf("%w: %s", ErrHalted, st.path)
 	}
-	for _, h := range halted {
-		if h {
-			return nil, fmt.Errorf("%w: %s", ErrHalted, st.path)
-		}
-	}
-	st.mu.Lock()
-	st.done = true
-	st.mu.Unlock()
-	if err := st.persist(); err != nil {
+	if err := st.finish(); err != nil {
 		return nil, err
 	}
 	res := aggregate(sc, reps)
 	streamMetrics(sc, reps, cfg.Sink)
 	return res, nil
-}
-
-// runRepCheckpointed executes one replication in boundary-sized
-// segments. With a resume cursor it first replays to the cursor and
-// verifies the state digest; a mismatch means the replay diverged from
-// the run that wrote the checkpoint — a determinism bug, not a
-// recoverable condition — and fails the replication.
-func runRepCheckpointed(sc Scenario, rep int, st *ckptState, every, haltAt Duration, cur ckptCursor, resume bool) (repResult, bool) {
-	r, err := startReplication(sc, rep)
-	if err != nil {
-		return repResult{err: err}, false
-	}
-	now := sim.Time(0)
-	if resume {
-		at := sim.Time(cur.At)
-		r.runTo(at)
-		now = at
-		fp := checkpoint.Fingerprint(r.net)
-		if got := fmt.Sprintf("%016x", fp); got != cur.Digest || r.net.Sim.Fired() != cur.Fired {
-			return repResult{err: fmt.Errorf(
-				"manetp2p: resume: replication %d diverged from its checkpoint at t=%v: digest %s (%d events fired) vs recorded %s (%d) — the replay is not reproducing the original run; the binary, scenario or an undetected nondeterminism changed",
-				rep, at, got, r.net.Sim.Fired(), cur.Digest, cur.Fired)}, false
-		}
-	}
-	for now < sc.Duration {
-		t := nextStop(now, every, haltAt, sc.Duration)
-		r.runTo(t)
-		now = t
-		if now >= sc.Duration {
-			break
-		}
-		c := ckptCursor{
-			Rep: rep, At: int64(now), Fired: r.net.Sim.Fired(),
-			Digest: fmt.Sprintf("%016x", checkpoint.Fingerprint(r.net)),
-		}
-		if err := st.setCursor(c); err != nil {
-			return repResult{err: err}, false
-		}
-		if haltAt > 0 && now == haltAt {
-			return repResult{}, true
-		}
-	}
-	rr := r.finish()
-	if rr.err != nil {
-		return rr, false
-	}
-	data, err := encodeRecord(recordOf(rr))
-	if err != nil {
-		rr.err = err
-		return rr, false
-	}
-	if err := st.complete(rep, data); err != nil {
-		rr.err = err
-		return rr, false
-	}
-	return rr, false
 }
 
 // CheckpointInfo summarizes a checkpoint file without decoding its
@@ -437,9 +217,8 @@ func runRepCheckpointed(sc Scenario, rep int, st *ckptState, every, haltAt Durat
 type CheckpointInfo struct {
 	Scenario  Scenario
 	Done      bool
-	Total     int          // replications in the scenario
-	Completed []int        // replication indices finished and stored
-	Cursors   []ckptCursor // in-flight replications, ascending rep
+	Total     int   // replications in the scenario
+	Completed []int // replication indices finished and stored, ascending
 }
 
 // InspectCheckpoint reads only the header of the checkpoint at path.
@@ -452,10 +231,7 @@ func InspectCheckpoint(path string) (*CheckpointInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &CheckpointInfo{
-		Scenario: sc, Done: hdr.Done, Total: hdr.Total,
-		Completed: hdr.Completed, Cursors: hdr.Cursors,
-	}, nil
+	return &CheckpointInfo{Scenario: sc, Done: hdr.Done, Total: hdr.Total, Completed: hdr.Completed}, nil
 }
 
 func decodeCkptHeader(path string, raw []byte) (Scenario, ckptHeader, error) {
@@ -472,6 +248,19 @@ func decodeCkptHeader(path string, raw []byte) (Scenario, ckptHeader, error) {
 	}
 	if hdr.Total != sc.Replications {
 		return Scenario{}, hdr, fmt.Errorf("manetp2p: checkpoint %s: header says %d replications, scenario says %d", path, hdr.Total, sc.Replications)
+	}
+	seen := make(map[int]bool, len(hdr.Completed))
+	for _, rep := range hdr.Completed {
+		switch {
+		case rep < 0 || rep >= hdr.Total:
+			return Scenario{}, hdr, fmt.Errorf("manetp2p: checkpoint %s: completed replication %d outside [0, %d)", path, rep, hdr.Total)
+		case seen[rep]:
+			return Scenario{}, hdr, fmt.Errorf("manetp2p: checkpoint %s: completed replication %d listed twice", path, rep)
+		}
+		seen[rep] = true
+	}
+	if hdr.Done && len(hdr.Completed) != hdr.Total {
+		return Scenario{}, hdr, fmt.Errorf("manetp2p: checkpoint %s: marked done with %d of %d replications complete", path, len(hdr.Completed), hdr.Total)
 	}
 	return sc, hdr, nil
 }

@@ -52,9 +52,8 @@ func main() {
 		saveCfg    = flag.String("save-config", "", "write the effective scenario as JSON to this file and exit")
 		selfcheck  = flag.Bool("selfcheck", false, "run the invariant suite and determinism self-audit on the scenario and exit nonzero on any violation")
 		peercache  = flag.Bool("peercache", false, "enable the peer-cache extension (cached rendezvous before flooding)")
-		ckptPath   = flag.String("checkpoint", "", "persist run state to this checkpoint file at periodic boundaries")
-		ckptEvery  = flag.Float64("checkpoint-every", 0, "checkpoint period in simulated seconds (default: duration/8)")
-		halt       = flag.Float64("halt", 0, "stop at this simulated time after checkpointing (exit code 3); resume later with -resume")
+		ckptPath   = flag.String("checkpoint", "", "persist each finished replication to this checkpoint file")
+		halt       = flag.Int("halt", 0, "with -checkpoint or -resume: stop after persisting replications 0..K-1 (exit code 3); resume later with -resume")
 		resume     = flag.String("resume", "", "resume a run from this checkpoint file; scenario flags are ignored")
 		metricsOut = flag.String("metrics", "", "stream the per-replication telemetry time series as JSON lines to this file ('-' = stdout)")
 	)
@@ -75,7 +74,7 @@ func main() {
 	}()
 
 	if *resume != "" {
-		runResume(*resume, manetp2p.Seconds(*halt), *metricsOut)
+		writeReport(runResume(*resume, *halt, *metricsOut), *curves, *traffic, *series)
 		return
 	}
 
@@ -165,10 +164,9 @@ func main() {
 	var res *manetp2p.Result
 	if *ckptPath != "" {
 		res, err = manetp2p.NewPool(0).RunCheckpointed(sc, manetp2p.CheckpointConfig{
-			Path:   *ckptPath,
-			Every:  manetp2p.Seconds(*ckptEvery),
-			HaltAt: manetp2p.Seconds(*halt),
-			Sink:   sink,
+			Path:      *ckptPath,
+			HaltAfter: *halt,
+			Sink:      sink,
 		})
 		exitIfHalted(err, *ckptPath)
 	} else if sink != nil {
@@ -181,6 +179,13 @@ func main() {
 		os.Exit(1)
 	}
 	closeSink()
+	writeReport(res, *curves, *traffic, *series)
+}
+
+// writeReport prints the run's report: the summary, the resilience and
+// workload blocks when the scenario produced them, and the optional
+// per-file curves, traffic series and node series.
+func writeReport(res *manetp2p.Result, curves bool, traffic float64, series string) {
 	manetp2p.WriteSummary(os.Stdout, res)
 
 	if res.Resilience != nil {
@@ -197,29 +202,29 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	if *curves {
+	if curves {
 		fmt.Println()
 		if err := manetp2p.WriteFileCurves(os.Stdout, []*manetp2p.Result{res}, 10); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
-	if *traffic > 0 {
+	if traffic > 0 {
 		fmt.Println()
 		if err := manetp2p.WriteTrafficSeries(os.Stdout, []*manetp2p.Result{res}); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
-	if *series != "" {
+	if series != "" {
 		kinds := map[string]manetp2p.SeriesKind{
 			"connect": manetp2p.SeriesConnect,
 			"ping":    manetp2p.SeriesPing,
 			"query":   manetp2p.SeriesQuery,
 		}
-		kind, ok := kinds[strings.ToLower(*series)]
+		kind, ok := kinds[strings.ToLower(series)]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown series %q\n", *series)
+			fmt.Fprintf(os.Stderr, "unknown series %q\n", series)
 			os.Exit(2)
 		}
 		fmt.Println()
@@ -265,39 +270,25 @@ func openMetricsSink(path string) (manetp2p.MetricsSink, func()) {
 	}
 }
 
-// runResume continues a checkpointed run in a fresh process and prints
-// the same report a plain run would have produced.
-func runResume(path string, haltAt manetp2p.Duration, metricsOut string) {
+// runResume continues a checkpointed run in a fresh process and returns
+// the same Result a plain run would have produced.
+func runResume(path string, haltAfter int, metricsOut string) *manetp2p.Result {
 	info, err := manetp2p.InspectCheckpoint(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	fmt.Fprintf(os.Stderr, "resuming %s: %d/%d replications complete, %d in flight\n",
-		path, len(info.Completed), info.Total, len(info.Cursors))
+	fmt.Fprintf(os.Stderr, "resuming %s: %d/%d replications complete\n",
+		path, len(info.Completed), info.Total)
 	sink, closeSink := openMetricsSink(metricsOut)
-	res, err := manetp2p.NewPool(0).ResumeCheckpoint(path, manetp2p.CheckpointConfig{HaltAt: haltAt, Sink: sink})
+	res, err := manetp2p.NewPool(0).ResumeCheckpoint(path, manetp2p.CheckpointConfig{HaltAfter: haltAfter, Sink: sink})
 	exitIfHalted(err, path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	closeSink()
-	manetp2p.WriteSummary(os.Stdout, res)
-	if res.Resilience != nil {
-		fmt.Println()
-		if err := manetp2p.WriteResilience(os.Stdout, res); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-	if res.Workload != nil {
-		fmt.Println()
-		if err := manetp2p.WriteWorkload(os.Stdout, res); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
+	return res
 }
 
 // runSelfcheck runs the invariant suite plus determinism audit and
@@ -318,6 +309,7 @@ func runSelfcheck(sc manetp2p.Scenario) {
 	}
 	fmt.Printf("  determinism (same seed, same result): %s\n", pass(rep.Deterministic))
 	fmt.Printf("  scheduling independence (serial == pooled): %s\n", pass(rep.ScheduleIndependent))
+	fmt.Printf("  segment independence (straight == segmented run): %s\n", pass(rep.SegmentIndependent))
 	fmt.Printf("  telemetry pooled-N conservation: %s\n", pass(rep.PooledN))
 	if rep.Invariants != nil {
 		fmt.Printf("  invariants (%d replications): %s\n",

@@ -1,5 +1,6 @@
-// Package checkpoint implements the on-disk container and the state
-// digest behind mid-flight replication checkpointing (DESIGN.md §11).
+// Package checkpoint implements the on-disk container behind
+// replication checkpointing, plus the state digest the self-audit uses
+// to show that segmenting a run is behavior-neutral (DESIGN.md §11).
 //
 // The container is deliberately dumb: a versioned, length-prefixed
 // binary envelope holding one caller-defined JSON header plus named,

@@ -15,13 +15,12 @@ import (
 // measurements, the workload ledger, churn progress and the live fault
 // gates.
 //
-// The digest is the restore-correctness oracle for replay-based resume:
-// the original run records it at each checkpoint boundary, and a
-// resumed process — which rebuilds the replication from its seed and
-// re-executes to the same boundary — must reproduce it exactly before
-// it is allowed to continue. Any source of nondeterminism (a
-// map-iteration-order decision, an untracked RNG draw) lands here as a
-// loud digest-mismatch error instead of a silently diverged result.
+// The digest is the determinism oracle behind the self-audit's
+// segment check (manetp2p.SelfAudit): a replication run straight to its
+// horizon and the same replication run in segments must reach the same
+// digest. Any source of nondeterminism (a map-iteration-order decision,
+// an untracked RNG draw) or any state a Sim.Run boundary perturbs lands
+// here as a digest mismatch instead of a silently diverged result.
 //
 // Fingerprint only reads: it draws no randomness, schedules nothing,
 // and iterates everything in fixed (id or insertion) order, so calling

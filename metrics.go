@@ -30,7 +30,7 @@ func NewJSONLSink(w io.Writer) MetricsSink { return telemetry.NewJSONLSink(w) }
 // streams every telemetry section's per-replication time series to
 // sink. The sink is not closed; the Result is identical to Run's.
 func (p *Pool) RunWithMetrics(sc Scenario, sink MetricsSink) (*Result, error) {
-	reps, err := p.runReps(sc)
+	reps, err := p.runReps(sc, sc.Replications, nil, nil)
 	if err != nil {
 		return nil, err
 	}

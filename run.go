@@ -178,31 +178,34 @@ type Result struct {
 }
 
 // repResult carries one replication's raw measurements to aggregation.
+// It is also the checkpoint record of a finished replication: gob
+// encodes the exported fields and skips err, so the field names are the
+// record's wire format (they match the files older binaries wrote).
 type repResult struct {
-	requests   []telemetry.Request
-	series     [telemetry.NumClasses][]float64
-	totals     [telemetry.NumClasses][]float64
-	rxFrames   []float64
-	txFrames   []float64
-	clust      []float64
-	pathLen    []float64
-	largest    []float64
-	meanDeg    []float64
-	alive      []float64 // per snapshot: fraction of members joined
-	degSeries  []float64 // per snapshot: mean overlay degree
-	connRate   []float64 // per bucket: connect msgs per member
-	queryRate  []float64 // per bucket: query msgs per member
-	deaths     float64
-	energy     []float64
-	lifetimes  []float64
-	health     []telemetry.HealthSample // resilience telemetry samples
-	routing    []netif.Stats            // per-node routing-effort counters
-	members    int                      // overlay membership size
-	checked    bool                     // the invariant checker validated this replication
-	violTotal  int                      // invariant breaches detected (including past the cap)
-	violations []InvariantViolation     // recorded breaches, detection order
-	workload   *workload.Telemetry      // demand telemetry (nil without a plan)
-	churnit    float64                  // churn departures executed
+	Requests   []telemetry.Request
+	Series     [telemetry.NumClasses][]float64
+	Totals     [telemetry.NumClasses][]float64
+	RxFrames   []float64
+	TxFrames   []float64
+	Clust      []float64
+	PathLen    []float64
+	Largest    []float64
+	MeanDeg    []float64
+	Alive      []float64 // per snapshot: fraction of members joined
+	DegSeries  []float64 // per snapshot: mean overlay degree
+	ConnRate   []float64 // per bucket: connect msgs per member
+	QueryRate  []float64 // per bucket: query msgs per member
+	Deaths     float64
+	Energy     []float64
+	Lifetimes  []float64
+	Health     []telemetry.HealthSample // resilience telemetry samples
+	Routing    []netif.Stats            // per-node routing-effort counters
+	Members    int                      // overlay membership size
+	Checked    bool                     // the invariant checker validated this replication
+	ViolTotal  int                      // invariant breaches detected (including past the cap)
+	Violations []InvariantViolation     // recorded breaches, detection order
+	Workload   *workload.Telemetry      // demand telemetry (nil without a plan)
+	Churnit    float64                  // churn departures executed
 	err        error
 }
 
@@ -231,16 +234,20 @@ func NewPool(workers int) *Pool {
 // exactly what a sequential one does. A positive Scenario.Workers
 // additionally caps this scenario's own concurrency below the pool's.
 func (p *Pool) Run(sc Scenario) (*Result, error) {
-	reps, err := p.runReps(sc)
+	reps, err := p.runReps(sc, sc.Replications, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	return aggregate(sc, reps), nil
 }
 
-// runReps executes all replications under the pool's budget and returns
-// their raw per-replication records.
-func (p *Pool) runReps(sc Scenario) ([]repResult, error) {
+// runReps is the one replication fan-out: it executes replications
+// 0..n-1 of the scenario under the pool's budget and returns the raw
+// per-replication records, one slot per scenario replication.
+// Replications found in preloaded are carried over instead of run.
+// A non-nil done is called on the worker with each replication that
+// finished cleanly; its error fails that replication.
+func (p *Pool) runReps(sc Scenario, n int, preloaded map[int]repResult, done func(rep int, rr repResult) error) ([]repResult, error) {
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
@@ -250,7 +257,11 @@ func (p *Pool) runReps(sc Scenario) ([]repResult, error) {
 	}
 	reps := make([]repResult, sc.Replications)
 	var wg sync.WaitGroup
-	for r := 0; r < sc.Replications; r++ {
+	for r := 0; r < n; r++ {
+		if rr, ok := preloaded[r]; ok {
+			reps[r] = rr
+			continue
+		}
 		wg.Add(1)
 		go func(r int) {
 			defer wg.Done()
@@ -260,7 +271,11 @@ func (p *Pool) runReps(sc Scenario) ([]repResult, error) {
 			}
 			p.slots <- struct{}{}
 			defer func() { <-p.slots }()
-			reps[r] = runReplication(sc, r)
+			rr := runReplication(sc, r)
+			if rr.err == nil && done != nil {
+				rr.err = done(r, rr)
+			}
+			reps[r] = rr
 		}(r)
 	}
 	wg.Wait()
@@ -285,18 +300,16 @@ func runReplication(sc Scenario, rep int) repResult {
 	if err != nil {
 		return repResult{err: err}
 	}
-	r.runTo(sc.Duration)
+	r.net.Sim.Run(sc.Duration)
 	return r.finish()
 }
 
-// repRun is one in-flight replication: built and instrumented, but not
-// yet (fully) executed. The checkpoint machinery drives it in segments
-// — runTo at each boundary, digest, persist — where the plain path runs
-// it in one piece; segmenting Sim.Run is behavior-neutral, so both
-// produce identical results.
+// repRun is one replication: built and instrumented by
+// startReplication, then run to its horizon and measured by finish.
+// The self-audit's segment check runs one in pieces to show that
+// segmenting Sim.Run is behavior-neutral.
 type repRun struct {
 	sc  Scenario
-	rep int
 	net *manet.Network
 	rr  repResult
 }
@@ -308,7 +321,7 @@ func startReplication(sc Scenario, rep int) (*repRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &repRun{sc: sc, rep: rep, net: net}
+	r := &repRun{sc: sc, net: net}
 
 	if sc.SnapshotEvery > 0 {
 		// One Analyzer per replication: after the first tick warms its
@@ -320,11 +333,11 @@ func startReplication(sc Scenario, rep int) (*repRun, error) {
 		sim.NewTicker(net.Sim, sc.SnapshotEvery, func() {
 			net.AppendOverlayAdjacency(&an.S)
 			m := an.Analyze(isMember)
-			r.rr.clust = append(r.rr.clust, m.Clustering)
+			r.rr.Clust = append(r.rr.Clust, m.Clustering)
 			if m.Pairs > 0 {
-				r.rr.pathLen = append(r.rr.pathLen, m.PathLength)
+				r.rr.PathLen = append(r.rr.PathLen, m.PathLength)
 			}
-			r.rr.largest = append(r.rr.largest, m.Largest)
+			r.rr.Largest = append(r.rr.Largest, m.Largest)
 			deg, members := 0, 0
 			for _, id := range net.Members() {
 				if sv := net.Servents[id]; sv != nil && sv.Joined() {
@@ -333,19 +346,16 @@ func startReplication(sc Scenario, rep int) (*repRun, error) {
 				}
 			}
 			if members > 0 {
-				r.rr.meanDeg = append(r.rr.meanDeg, float64(deg)/float64(members))
-				r.rr.degSeries = append(r.rr.degSeries, float64(deg)/float64(members))
+				r.rr.MeanDeg = append(r.rr.MeanDeg, float64(deg)/float64(members))
+				r.rr.DegSeries = append(r.rr.DegSeries, float64(deg)/float64(members))
 			} else {
-				r.rr.degSeries = append(r.rr.degSeries, 0)
+				r.rr.DegSeries = append(r.rr.DegSeries, 0)
 			}
-			r.rr.alive = append(r.rr.alive, float64(net.AliveMembers())/float64(len(net.Members())))
+			r.rr.Alive = append(r.rr.Alive, float64(net.AliveMembers())/float64(len(net.Members())))
 		})
 	}
 	return r, nil
 }
-
-// runTo advances the replication to absolute simulation time t.
-func (r *repRun) runTo(t sim.Time) { r.net.Sim.Run(t) }
 
 // finish extracts the measurements after the replication has run to its
 // horizon: one registry walk over every layer's Collect hook (see
